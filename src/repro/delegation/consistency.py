@@ -18,7 +18,7 @@ import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from repro.delegation.model import DailyDelegations, DelegationKey
+from repro.delegation.model import ASN_MASK, DailyDelegations
 from repro.obs.metrics import NULL, MetricsRegistry
 
 
@@ -97,24 +97,27 @@ def fail_rate(
 
 
 def _conflict_days_by_prefix(
-    timelines: Mapping[DelegationKey, Sequence[datetime.date]],
-) -> Dict[object, Dict[int, Set[datetime.date]]]:
-    """prefix → delegatee → observation days, for *ambiguous* prefixes.
+    timelines: Mapping[int, Sequence[datetime.date]],
+) -> Dict[int, Dict[int, Set[datetime.date]]]:
+    """prefix key → delegatee → observation days, for *ambiguous* prefixes.
 
-    A conflict can only arise on a prefix delegated to more than one
-    delegatee somewhere in the window; those are rare (MOAS announcements
-    are dropped in step (iii)), so restricting the map to them keeps
+    ``timelines`` is keyed on packed delegation keys
+    (:func:`~repro.delegation.model.pack_key`): the prefix is
+    ``key >> 64`` and the delegatee ``key & ASN_MASK``.  A conflict can
+    only arise on a prefix delegated to more than one delegatee
+    somewhere in the window; those are rare (MOAS announcements are
+    dropped in step (iii)), so restricting the map to them keeps
     :func:`fill_gaps` from indexing every (day, delegation) pair.
     """
-    delegatees: Dict[object, Set[int]] = {}
-    for prefix, _delegator, delegatee in timelines:
-        delegatees.setdefault(prefix, set()).add(delegatee)
+    delegatees: Dict[int, Set[int]] = {}
+    for key in timelines:
+        delegatees.setdefault(key >> 64, set()).add(key & ASN_MASK)
     ambiguous = {p for p, seen in delegatees.items() if len(seen) > 1}
-    conflict_map: Dict[object, Dict[int, Set[datetime.date]]] = {}
-    for (prefix, _delegator, delegatee), dates in timelines.items():
-        if prefix in ambiguous:
-            conflict_map.setdefault(prefix, {}).setdefault(
-                delegatee, set()
+    conflict_map: Dict[int, Dict[int, Set[datetime.date]]] = {}
+    for key, dates in timelines.items():
+        if key >> 64 in ambiguous:
+            conflict_map.setdefault(key >> 64, {}).setdefault(
+                key & ASN_MASK, set()
             ).update(dates)
     return conflict_map
 
@@ -145,14 +148,14 @@ def fill_gaps(
     """
     sorted_dates = sorted(observation_dates)
     date_index = {date: i for i, date in enumerate(sorted_dates)}
-    timelines = daily.timeline()
+    timelines = daily.packed_timeline()
     conflicts = _conflict_days_by_prefix(timelines)
     filled = daily.copy()
     fill_count = 0
     conflict_count = 0
     for key, dates in timelines.items():
-        prefix, _delegator, delegatee = key
-        rivals = conflicts.get(prefix)
+        delegatee = key & ASN_MASK
+        rivals = conflicts.get(key >> 64)
         for first, second in zip(dates, dates[1:]):
             gap_days = (second - first).days
             if gap_days <= 1 or gap_days > rule.max_span_days:
@@ -173,7 +176,7 @@ def fill_gaps(
                     conflict_count += 1
                     continue
             for day in between:
-                filled.record(day, [key])
+                filled.record_packed(day, (key,))
             fill_count += len(between)
     metrics.inc("pipeline.consistency.fills", fill_count)
     metrics.inc("pipeline.consistency.conflicts", conflict_count)

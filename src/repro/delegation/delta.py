@@ -66,8 +66,9 @@ logger = logging.getLogger(__name__)
 
 #: Bump when the journal entry layout changes incompatibly.  The
 #: schema participates in :func:`journal_key`, so old journals become
-#: clean misses instead of being misread.
-DELTA_SCHEMA = 1
+#: clean misses instead of being misread.  v2 renamed the seed entry's
+#: ``(packed_key, S, T)`` row field from ``"quads"`` to ``"rows"``.
+DELTA_SCHEMA = 2
 
 #: The five per-day attrition counters, in cache-payload order.
 COUNTER_FIELDS = (
@@ -440,7 +441,7 @@ def seed_entry(
             list(table.column_at(i)) for i in range(len(table))
         ],
         "counters": {name: counters[name] for name in COUNTER_FIELDS},
-        "quads": [list(row) for row in rows],
+        "rows": [list(row) for row in rows],
     }
 
 

@@ -36,6 +36,7 @@ from repro.delegation.model import (
     BgpDelegation,
     DailyDelegations,
     DelegationKey,
+    pack_key,
 )
 from repro.errors import ReproError
 from repro.netbase.bogons import BOGON_PREFIXES
@@ -193,10 +194,6 @@ class DelegationInference:
             )
         self._as2org = as2org
         self._kernel = kernel
-        # Packed key → IPv4Prefix, shared across days: consecutive days
-        # delegate almost the same prefixes, so the columnar drivers
-        # materialize each distinct prefix exactly once per run.
-        self._prefix_cache: Dict[int, IPv4Prefix] = {}
 
     @property
     def config(self) -> InferenceConfig:
@@ -503,7 +500,6 @@ class DelegationInference:
             self._kernel == "columnar"
             and hasattr(stream, "pair_table_on")
         )
-        prefix_cache = self._prefix_cache
         for date in date_range(start, end, step_days):
             result.observation_dates.append(date)
             with metrics.span("pipeline.day"):
@@ -512,22 +508,20 @@ class DelegationInference:
                         stream.pair_table_on(date), total_monitors,
                         date, result, metrics=metrics,
                     )
-                    keys = []
-                    for key, delegator, delegatee, _cover in rows:
-                        prefix = prefix_cache.get(key)
-                        if prefix is None:
-                            prefix = IPv4Prefix(key >> 6, key & 0x3F)
-                            prefix_cache[key] = prefix
-                        keys.append((prefix, delegator, delegatee))
+                    result.daily.record_packed(date, (
+                        pack_key(key, delegator, delegatee)
+                        for key, delegator, delegatee, _cover in rows
+                    ))
                     day_count = len(rows)
                 else:
                     delegations = self.infer_day_from_pairs(
                         stream.pairs_on(date), total_monitors, date,
                         result,
                     )
-                    keys = [d.key() for d in delegations]
+                    result.daily.record(
+                        date, [d.key() for d in delegations]
+                    )
                     day_count = len(delegations)
-                result.daily.record(date, keys)
             delegations_total += day_count
             if len(result.observation_dates) % 100 == 0:
                 logger.debug(

@@ -12,13 +12,13 @@ observable day by day.  Expected shape (paper):
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.delegation.consistency import ConsistencyRule, evaluate_rule
+from repro.delegation.forkpool import close_pool, fork_pool
 from repro.errors import ReproError
 from repro.rpki.database import RoaDatabase
 
@@ -162,9 +162,7 @@ def evaluate_rules_on_rpki(
     # scales with its premise count, which shrinks as M grows.
     shards = [spans[i::resolved_jobs] for i in range(resolved_jobs)]
     evaluations: List[RuleEvaluation] = []
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=resolved_jobs
-    )
+    executor = fork_pool(max_workers=resolved_jobs)
     try:
         futures = [
             executor.submit(
@@ -184,11 +182,7 @@ def evaluate_rules_on_rpki(
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
     finally:
-        # Not the context manager: on error or interrupt its plain
-        # shutdown would still drain every queued shard before this
-        # process can exit; cancelling strands no workers on a sweep
-        # that already failed.
-        executor.shutdown(wait=True, cancel_futures=True)
+        close_pool(executor)
     evaluations.sort(key=lambda e: (e.max_span_days, e.allowed_missing))
     return evaluations
 

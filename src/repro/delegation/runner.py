@@ -42,7 +42,6 @@ as :class:`~repro.errors.ReproError` instead of a hang or a raw
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import hashlib
 import itertools
@@ -63,6 +62,7 @@ from repro.bgp.rib import PairTable
 from repro.bgp.stream import RouteStream, date_range
 from repro.delegation import delta as delta_mod
 from repro.delegation.consistency import fill_gaps
+from repro.delegation.forkpool import close_pool, fork_pool
 from repro.delegation.inference import (
     KERNELS,
     DelegationInference,
@@ -71,10 +71,9 @@ from repro.delegation.inference import (
     record_pipeline_counters,
 )
 from repro.delegation.io import content_digest
-from repro.delegation.model import DailyDelegations
+from repro.delegation.model import DailyDelegations, keys_from_quad_words
 from repro.errors import ReproError
 from repro.netbase.lpm import day_shard_bounds, require_codec_itemsizes
-from repro.netbase.prefix import IPv4Prefix
 from repro.obs.metrics import NULL, MetricsRegistry
 from repro.store.shard import (
     ShardStore,
@@ -258,6 +257,17 @@ def _quads_body_bytes(quads) -> bytes:
     if sys.byteorder != "little":
         body.byteswap()
     return body.tobytes()
+
+
+def _quad_words(quads):
+    """The flat u32 word sequence of any quad sequence."""
+    if isinstance(quads, _QuadView):
+        return quads._words
+    words = array("I")
+    words.frombytes(_quads_body_bytes(quads))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words
 
 
 def _encode_payload(payload: dict) -> bytes:
@@ -1280,7 +1290,7 @@ def _diff_parallel(
         # prints spurious leak warnings.
         resource_tracker.ensure_running()
     items: List[tuple] = []
-    executor = concurrent.futures.ProcessPoolExecutor(
+    executor = fork_pool(
         max_workers=workers,
         initializer=_init_worker,
         initargs=(
@@ -1315,7 +1325,7 @@ def _diff_parallel(
                 metrics.merge(worker_registry)
                 metrics.inc("runner.worker_registries_merged")
     finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+        close_pool(executor)
         if prefix is not None:
             swept = _sweep_segments(prefix)
             if swept:
@@ -1403,7 +1413,7 @@ def _run_incremental(
                 need_state = True
                 break
             if entry["kind"] == "seed":
-                rows = [tuple(row) for row in entry["quads"]]
+                rows = [tuple(row) for row in entry["rows"]]
                 if need_state:
                     state = delta_mod.DeltaState(
                         config, int(entry["total_monitors"])
@@ -1767,20 +1777,8 @@ def run_inference(
                         store.write_result(key, data)
 
     # Phase 3: fan-in, in date order, then extension (v) exactly once.
-    # Consecutive days share almost all delegations, so prefixes are
-    # interned: each distinct (network, length) is materialized once
-    # and the same IPv4Prefix object is reused across the whole window.
-    interned: Dict[int, IPv4Prefix] = {}
-
-    def _decode(quad: tuple) -> tuple:
-        network, length, delegator, delegatee = quad
-        packed = (network << 6) | length
-        prefix = interned.get(packed)
-        if prefix is None:
-            prefix = IPv4Prefix(network, length)
-            interned[packed] = prefix
-        return (prefix, delegator, delegatee)
-
+    # Each day becomes a set of packed ints straight off its u32 quad
+    # words: no prefix objects, no per-quad tuples for the GC to track.
     result = InferenceResult(daily=DailyDelegations(), config=config)
     delegations_total = 0
     with metrics.span("runner.fan_in"):
@@ -1802,10 +1800,12 @@ def run_inference(
                 "bogon_prefix", 0
             )
             delegations_total += len(payload["delegations"])
-            result.daily.record(
-                date, (_decode(quad) for quad in payload["delegations"])
+            result.daily.record_packed(
+                date, keys_from_quad_words(
+                    _quad_words(payload["delegations"])
+                ),
             )
-    # Every quad is decoded into interned objects by now — release the
+    # Every quad is packed into the day sets by now — release the
     # fan-in buffers (segments were unlinked at adoption; this frees
     # the memory) and surface the transport split.  A run that should
     # be zero-copy but shows ``fanin.pickled_kb`` (or a climbing
@@ -1916,7 +1916,7 @@ def _compute_parallel(
         resource_tracker.ensure_running()
     payloads: List[dict] = []
     pending: Dict[datetime.date, List[dict]] = {}
-    executor = concurrent.futures.ProcessPoolExecutor(
+    executor = fork_pool(
         max_workers=workers,
         initializer=_init_worker,
         initargs=(
@@ -1967,7 +1967,7 @@ def _compute_parallel(
                 f"{len(pending[stuck])} of {day_shards} parts"
             )
     finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+        close_pool(executor)
         if prefix is not None:
             swept = _sweep_segments(prefix)
             if swept:

@@ -13,6 +13,7 @@ import csv
 import datetime
 import io
 import pathlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -52,17 +53,26 @@ class Transaction:
         return (self.date.year, (self.date.month - 1) // 3 + 1)
 
 
+def _order_key(transaction: Transaction) -> Tuple[datetime.date, str]:
+    return (transaction.date, transaction.region.value)
+
+
 class TransactionDataset:
     """A queryable collection of anonymized transactions."""
 
     def __init__(self, transactions: Iterable[Transaction] = ()):
         self._transactions: List[Transaction] = sorted(
-            transactions, key=lambda t: (t.date, t.region.value)
+            transactions, key=_order_key
         )
+        # Parallel sort keys: ``bisect`` takes ``key=`` only from 3.10.
+        self._keys = [_order_key(t) for t in self._transactions]
 
     def add(self, transaction: Transaction) -> None:
-        self._transactions.append(transaction)
-        self._transactions.sort(key=lambda t: (t.date, t.region.value))
+        """Insert after every equal key, as a stable re-sort would."""
+        key = _order_key(transaction)
+        index = bisect_right(self._keys, key)
+        self._keys.insert(index, key)
+        self._transactions.insert(index, transaction)
 
     def __len__(self) -> int:
         return len(self._transactions)

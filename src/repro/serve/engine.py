@@ -23,7 +23,7 @@ import datetime
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.delegation.model import DailyDelegations
+from repro.delegation.model import DailyDelegations, pack_key
 from repro.netbase.lpm import SortedPrefixMap
 from repro.netbase.prefix import IPv4Prefix, parse_address
 from repro.obs.metrics import NULL, MetricsRegistry
@@ -397,7 +397,6 @@ class QueryEngine:
         from repro.delegation.consistency import fill_gaps
         from repro.delegation.delta import fold_entry_rows
         from repro.errors import ReproError
-        from repro.netbase.lpm import unpack
 
         live = self.delta
         if live is None:
@@ -418,14 +417,11 @@ class QueryEngine:
         with self.metrics.span("serve.delta.apply"):
             date = datetime.date.fromisoformat(str(entry["date"]))
             rows = fold_entry_rows(live.rows, entry)
-            keys = []
-            for key, delegator, delegatee in rows:
-                network, length = unpack(key)
-                keys.append(
-                    (IPv4Prefix(network, length), delegator, delegatee)
-                )
             base = live.base_daily.copy()
-            base.record(date, keys)
+            base.record_packed(date, (
+                pack_key(key, delegator, delegatee)
+                for key, delegator, delegatee in rows
+            ))
             dates = list(live.dates) + [date]
             daily = base
             if live.rule is not None:

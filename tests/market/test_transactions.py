@@ -87,6 +87,20 @@ class TestDataset:
         dataset.add(t(D(2019, 1, 1)))
         assert next(iter(dataset)).date == D(2019, 1, 1)
 
+    def test_interleaved_adds_match_sorted_construction(self):
+        # Many transactions share a (date, region) key; only the price
+        # tells them apart, so the order of ties is visible.
+        dates = (D(2020, 1, 2), D(2020, 1, 1), D(2020, 1, 3))
+        regions = (RIR.RIPE, RIR.ARIN, RIR.APNIC)
+        arrivals = [
+            t(dates[i % 3], region=regions[(i // 3) % 3], price=1.0 + i)
+            for i in range(30)
+        ]
+        added = TransactionDataset(arrivals[:5])
+        for transaction in arrivals[5:]:
+            added.add(transaction)
+        assert list(added) == list(TransactionDataset(arrivals))
+
     def test_csv_round_trip(self, dataset, tmp_path):
         path = dataset.write_csv(tmp_path / "txns.csv")
         loaded = TransactionDataset.read_csv(path)

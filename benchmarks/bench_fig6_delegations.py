@@ -9,10 +9,11 @@ share rises ~66 %→~72 %.
 
 The run also exercises the columnar-vs-object kernel differential
 (byte-identical output, >=3x sequential speedup) and the parallel,
-cached runner end to end: sequential vs. fanned-out wall-clock,
-byte-identical output, a warm-cache re-run that must clearly beat the
-cold one, and an instrumented warm re-run whose absolute overhead
-must stay negligible next to the cold compute cost.
+store-backed runner end to end: sequential vs. fanned-out wall-clock,
+byte-identical output, a warm re-run off the store's result shards
+that must clearly beat the cold one, and an instrumented warm re-run
+whose absolute overhead must stay negligible next to the cold compute
+cost.
 """
 
 import os
@@ -53,7 +54,7 @@ def test_fig6_delegations(
     config = world.config
     as2org = world.as2org()
     factory = WorldStreamFactory(config)
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     jobs = min(4, os.cpu_count() or 1)
     timings = {}
 
@@ -76,7 +77,7 @@ def test_fig6_delegations(
         ext_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
             InferenceConfig.extended(), as2org=as2org,
-            jobs=jobs, cache_dir=cache_dir,
+            jobs=jobs, store_dir=store_dir,
         )
         timings["parallel_cold"] = time.perf_counter() - t0
 
@@ -88,7 +89,7 @@ def test_fig6_delegations(
             result = run_inference(
                 factory, config.bgp_start, config.bgp_end,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=jobs, cache_dir=cache_dir, **kwargs,
+                jobs=jobs, store_dir=store_dir, **kwargs,
             )
             return result, time.perf_counter() - t0
 
@@ -116,7 +117,7 @@ def test_fig6_delegations(
 
         base_result = run_inference(
             factory, config.bgp_start, config.bgp_end,
-            InferenceConfig.baseline(), jobs=jobs, cache_dir=cache_dir,
+            InferenceConfig.baseline(), jobs=jobs, store_dir=store_dir,
         )
         return (reference, sequential, ext_result, warm, instrumented,
                 traced, base_result)
@@ -152,7 +153,7 @@ def test_fig6_delegations(
     # Instrumented runs produce the identical result ...
     assert _daily_bytes(instrumented, tmp_path / "obs.jsonl") == seq_bytes
     # ... at negligible absolute overhead.  (Measured against the
-    # cold compute cost: the binary v2 cache shrank the warm path so
+    # cold compute cost: mapped result shards shrank the warm path so
     # far that the registry's fixed per-day cost — unchanged in
     # seconds — is no longer a meaningful *fraction* of it.)
     overhead = timings["warm_metered"] - timings["warm_plain"]
@@ -167,7 +168,7 @@ def test_fig6_delegations(
         e for e in exported["traceEvents"] if e.get("ph") == "X"
     ]) == timings["trace_events"]
 
-    # The second run is a pure cache read ...
+    # The second run is a pure result-shard read ...
     assert warm.runner_stats.days_computed == 0
     assert warm.runner_stats.cache_hit_rate == 1.0
     # ... and clearly faster than computing from scratch.  (The old

@@ -1,11 +1,11 @@
 """CI smoke benchmark: the kernel differential at reduced scale.
 
 Runs the full small-scenario BGP window (two months) through both
-per-day kernels, sequentially and through the parallel runner, and
-asserts the columnar fast path is byte-identical to the object/trie
-reference — outputs and attrition counters alike.  The incremental
-delta sweep rides along (cold journaled run + warm journal replay),
-held to the same byte-identity bar.  Wall-clocks land in
+per-day kernels sequentially, then once through the parallel runner,
+and asserts the columnar fast path is byte-identical to the
+object/trie reference — outputs and attrition counters alike.  The
+incremental delta sweep rides along (cold journaled run + warm
+journal replay), held to the same byte-identity bar.  Wall-clocks land in
 ``BENCH_smoke_kernel.json`` so CI can archive the trend without
 paying the paper-scale fig6 run.
 
@@ -111,19 +111,17 @@ def test_smoke_kernel_differential(record_bench_json, tmp_path):
     assert _counters(sequential["columnar"]) == \
         _counters(sequential["object"])
 
-    # Same through the parallel runner, both kernels.
+    # Same through the parallel runner (columnar kernel).
     factory = WorldStreamFactory(scenario)
-    for kernel in ("object", "columnar"):
-        t0 = time.perf_counter()
-        parallel = run_inference(
-            factory, start, end, InferenceConfig.extended(),
-            as2org=as2org, jobs=2, kernel=kernel,
-        )
-        timings[f"runner_jobs2_{kernel}"] = time.perf_counter() - t0
-        assert _daily_bytes(
-            parallel, tmp_path / f"runner-{kernel}.jsonl"
-        ) == object_bytes
-        assert _counters(parallel) == _counters(sequential["object"])
+    t0 = time.perf_counter()
+    parallel = run_inference(
+        factory, start, end, InferenceConfig.extended(),
+        as2org=as2org, jobs=2,
+    )
+    timings["runner_jobs2"] = time.perf_counter() - t0
+    assert _daily_bytes(parallel, tmp_path / "runner.jsonl") == \
+        object_bytes
+    assert _counters(parallel) == _counters(sequential["object"])
 
     # And the incremental delta sweep: a cold journaled run, then a
     # pure warm journal replay — both byte-identical, the replay

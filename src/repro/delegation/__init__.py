@@ -8,9 +8,10 @@
   the ``object`` trie reference),
 - :mod:`~repro.delegation.consistency` — the "(M, N)" consistency-rule
   family, gap filling, and fail-rate evaluation,
-- :mod:`~repro.delegation.runner` — parallel day fan-out with an
-  on-disk, content-addressed result cache and an ``--incremental``
-  mode that replays / extends a day-over-day delta journal,
+- :mod:`~repro.delegation.runner` — parallel day fan-out on the
+  columnar kernel, with the shard store's result shards as its
+  content-addressed cache and an ``--incremental`` mode that replays /
+  extends a day-over-day delta journal,
 - :mod:`~repro.delegation.delta` — day-over-day :class:`PairTable`
   deltas, the incremental filter state machine, and the NRTM-style
   hash-chained delta journal,

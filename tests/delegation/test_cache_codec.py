@@ -1,9 +1,10 @@
-"""Tests for the compact v2 binary cache encoding.
+"""Tests for the compact v2 binary payload encoding.
 
-Contract: exact round-trip of (date, delegation quads, attrition
-counters); everything torn, truncated, or foreign — including v1
-JSON-era entries — decodes to ``None`` (a cache miss), never to a
-wrong payload.
+The same codec carries results through the shared-memory fan-in and
+the shard store's ``results/`` namespace.  Contract: exact round-trip
+of (date, delegation quads, attrition counters); everything torn,
+truncated, or foreign — including v1 JSON-era entries — decodes to
+``None`` (a result-shard miss), never to a wrong payload.
 """
 
 import datetime
@@ -18,14 +19,17 @@ from repro.delegation.runner import (
     _CACHE_MAGIC,
     _COUNTER_FIELDS,
     CACHE_SCHEMA,
-    _cache_read,
-    _cache_write,
     _decode_payload,
     _encode_payload,
+    _FanInReceiver,
+    _result_shard_read,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.store import ShardStore
 
 D = datetime.date
+
+KEY = "ab" * 32
 
 
 def _payload(quads=None):
@@ -44,6 +48,28 @@ def _payload(quads=None):
             "bogon_prefix": 3,
         },
     }
+
+
+def _store(tmp_path, metrics=None):
+    return ShardStore(
+        tmp_path / "store", "input-fp", metrics=metrics or MetricsRegistry()
+    )
+
+
+def _shard_read(store):
+    """Read ``KEY``'s result shard back as a plain payload dict."""
+    receiver = _FanInReceiver()
+    try:
+        payload = _result_shard_read(store, KEY, receiver)
+        if payload is None:
+            return None
+        return {
+            "date": payload["date"],
+            "delegations": list(payload["delegations"]),
+            "counters": payload["counters"],
+        }
+    finally:
+        receiver.close()
 
 
 class TestRoundTrip:
@@ -67,15 +93,15 @@ class TestRoundTrip:
         assert _decode_payload(_encode_payload(payload)) == payload
 
     def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "cache" / "entry.bin"
-        _cache_write(path, _payload())
-        assert _cache_read(path) == _payload()
+        store = _store(tmp_path)
+        path = store.write_result(KEY, _encode_payload(_payload()))
+        assert _shard_read(store) == _payload()
         assert not list(path.parent.glob("*.tmp.*"))  # atomic, no litter
 
 
 class TestRejection:
     def test_missing_file_is_miss(self, tmp_path):
-        assert _cache_read(tmp_path / "absent.bin") is None
+        assert _shard_read(_store(tmp_path)) is None
 
     def test_truncated_header(self):
         data = _encode_payload(_payload())
@@ -112,23 +138,25 @@ class TestRejection:
         assert _decode_payload(bytes(data)) is None
 
     def test_corrupt_file_logged_as_miss(self, tmp_path, caplog):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 10)
+        store = _store(tmp_path)
+        store.write_result(KEY, b"\x00" * 10)
         with caplog.at_level("WARNING", logger="repro.delegation.runner"):
-            assert _cache_read(path) is None
+            assert _shard_read(store) is None
         assert any("malformed" in r.message for r in caplog.records)
 
     def test_corrupt_file_bumps_malformed_counter(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 10)
         metrics = MetricsRegistry()
-        assert _cache_read(path, metrics) is None
-        assert metrics.counter("cache.malformed") == 1
+        store = _store(tmp_path, metrics)
+        store.write_result(KEY, b"\x00" * 10)
+        assert _shard_read(store) is None
+        assert metrics.counter("store.malformed") == 1
+        assert metrics.counter("store.result_misses") == 1
 
     def test_missing_file_does_not_count_as_malformed(self, tmp_path):
         metrics = MetricsRegistry()
-        assert _cache_read(tmp_path / "absent.bin", metrics) is None
-        assert metrics.counter("cache.malformed") == 0
+        assert _shard_read(_store(tmp_path, metrics)) is None
+        assert metrics.counter("store.malformed") == 0
+        assert metrics.counter("store.result_misses") == 1
 
 
 class TestAtomicWrite:
@@ -144,16 +172,16 @@ class TestAtomicWrite:
             calls.append(os.fspath(src))
             original(src, dst)
 
-        path = tmp_path / "ab" / "abcdef.bin"
+        store = _store(tmp_path)
         try:
             os.replace = spy
-            _cache_write(path, _payload())
+            path = store.write_result(KEY, _encode_payload(_payload()))
         finally:
             os.replace = original
         assert calls == [
-            str(path.with_name(f"abcdef.bin.tmp.{os.getpid()}"))
+            str(path.with_name(f"{KEY}.rpd.tmp.{os.getpid()}"))
         ]
-        assert _cache_read(path) == _payload()
+        assert _shard_read(store) == _payload()
 
 
 class TestLayout:

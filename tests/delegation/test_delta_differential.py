@@ -1,11 +1,12 @@
 """Differential tests: incremental delta sweeps vs. full recompute.
 
 The incremental runner (``incremental=True``) is a pure performance
-change — for every simulation scenario and against both full-sweep
-kernels its output must be byte-identical (the JSONL result file) with
-every attrition counter in exact agreement, through the in-process
-path, the process-pool path (``jobs=2``), a warm journal replay, and
-a mid-sweep crash resumed from the journal.
+change — for every simulation scenario, against both the full runner
+sweep and the sequential object-kernel reference, its output must be
+byte-identical (the JSONL result file) with every attrition counter in
+exact agreement, through the in-process path, the process-pool path
+(``jobs=2``), a warm journal replay, and a mid-sweep crash resumed
+from the journal.
 """
 
 import datetime
@@ -13,6 +14,7 @@ import datetime
 import pytest
 
 from repro.delegation import (
+    DelegationInference,
     InferenceConfig,
     WorldStreamFactory,
     run_inference,
@@ -49,15 +51,17 @@ def window(scenario):
 
 @pytest.fixture(scope="module")
 def full_by_kernel(scenario, as2org, window):
-    """Full recompute through both per-day kernels."""
+    """Full recompute: the columnar runner and the object reference."""
     start, end = window
+    config = InferenceConfig.extended()
     return {
-        kernel: run_inference(
-            WorldStreamFactory(scenario), start, end,
-            InferenceConfig.extended(), as2org=as2org,
-            jobs=1, kernel=kernel,
-        )
-        for kernel in ("columnar", "object")
+        "columnar": run_inference(
+            WorldStreamFactory(scenario), start, end, config,
+            as2org=as2org, jobs=1,
+        ),
+        "object": DelegationInference(
+            config, as2org, kernel="object"
+        ).infer_range(World(scenario).stream(), start, end),
     }
 
 

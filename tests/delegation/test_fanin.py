@@ -1,10 +1,11 @@
 """Tests for the zero-copy result fan-in and per-/8 day sharding.
 
-The contract: ``fanin="shm"`` and ``day_shards > 1`` are pure
+The contract: shared-memory fan-in and ``day_shards > 1`` are pure
 transport/scheduling changes — output bytes and attrition counters are
-identical to the pickled, whole-day baseline for both kernels, with or
-without the stores — and no exit path (completion, worker crash,
-interrupt) leaks a shared-memory segment or trips the resource
+identical to the sequential object-kernel reference, with or without
+the store, and identical again when no segment can be created and
+workers fall back to pickling — and no exit path (completion, worker
+crash, interrupt) leaks a shared-memory segment or trips the resource
 tracker.
 """
 
@@ -18,9 +19,11 @@ import textwrap
 import pytest
 
 from repro.delegation import (
+    DelegationInference,
     InferenceConfig,
     WorldStreamFactory,
     run_inference,
+    runner,
     write_daily_delegations,
 )
 from repro.errors import ReproError
@@ -73,14 +76,24 @@ def _segments():
     return {path.name for path in SHM_DIR.glob("rpfi*")}
 
 
+def _no_worker_segments(monkeypatch):
+    """Make every worker-side segment creation fail, as on a full
+    ``/dev/shm``; patched before the pool forks, so workers inherit it.
+    """
+    monkeypatch.setattr(
+        runner, "_create_worker_segment", lambda size, prefix: None
+    )
+
+
 @pytest.fixture(scope="module")
-def pickle_baseline(factory, as2org, tmp_path_factory):
-    base = tmp_path_factory.mktemp("fanin-baseline")
+def sequential(as2org, tmp_path_factory):
+    """Sequential output of each kernel: bytes plus attrition counters."""
+    base = tmp_path_factory.mktemp("fanin-sequential")
     outputs = {}
     for kernel in ("columnar", "object"):
-        result = _run(
-            factory, as2org, jobs=2, kernel=kernel, fanin="pickle"
-        )
+        result = DelegationInference(
+            InferenceConfig.extended(), as2org, kernel=kernel
+        ).infer_range(World(SCENARIO).stream(), START, END)
         outputs[kernel] = (
             _daily_bytes(result, base / f"{kernel}.jsonl"),
             _counters(result),
@@ -89,102 +102,125 @@ def pickle_baseline(factory, as2org, tmp_path_factory):
     return outputs
 
 
+@pytest.fixture(scope="module")
+def reference(sequential):
+    """The object-kernel oracle every parallel run is held to."""
+    return sequential["object"]
+
+
+@pytest.fixture(scope="module")
+def pickle_baseline(factory, as2org, tmp_path_factory):
+    """A parallel run whose workers cannot create segments, so every
+    day crosses back pickled."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _no_worker_segments(monkeypatch)
+        result = _run(factory, as2org, jobs=2)
+    path = tmp_path_factory.mktemp("fanin-pickle") / "pickle.jsonl"
+    return _daily_bytes(result, path), _counters(result)
+
+
+@pytest.fixture
+def no_segments(monkeypatch):
+    _no_worker_segments(monkeypatch)
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("kernel", ["columnar", "object"])
     def test_shm_matches_pickle(
-        self, factory, as2org, pickle_baseline, tmp_path, kernel
+        self, factory, as2org, sequential, pickle_baseline, tmp_path,
+        kernel,
     ):
-        result = _run(
-            factory, as2org, jobs=2, kernel=kernel, fanin="shm"
-        )
+        # The pickled fallback and each sequential kernel are held to
+        # the same bytes and counters as the shared-memory run.
+        assert pickle_baseline == sequential[kernel]
+        result = _run(factory, as2org, jobs=2)
         assert _daily_bytes(result, tmp_path / "out.jsonl") == \
-            pickle_baseline[kernel][0]
-        assert _counters(result) == pickle_baseline[kernel][1]
+            pickle_baseline[0]
+        assert _counters(result) == pickle_baseline[1]
 
     @pytest.mark.parametrize("day_shards", [2, 3, 7])
     def test_day_shards_match_whole_days(
-        self, factory, as2org, pickle_baseline, tmp_path, day_shards
+        self, factory, as2org, reference, tmp_path, day_shards
     ):
         result = _run(
             factory, as2org, jobs=2, day_shards=day_shards,
         )
         assert _daily_bytes(result, tmp_path / "out.jsonl") == \
-            pickle_baseline["columnar"][0]
-        assert _counters(result) == pickle_baseline["columnar"][1]
+            reference[0]
+        assert _counters(result) == reference[1]
 
     def test_day_shards_compose_with_store_and_cache(
-        self, factory, as2org, pickle_baseline, tmp_path
+        self, factory, as2org, reference, tmp_path
     ):
-        kwargs = dict(
-            jobs=2, day_shards=3,
-            store_dir=tmp_path / "store", cache_dir=tmp_path / "cache",
-        )
+        kwargs = dict(jobs=2, day_shards=3, store_dir=tmp_path / "store")
         cold = _run(factory, as2org, **kwargs)
         assert _daily_bytes(cold, tmp_path / "cold.jsonl") == \
-            pickle_baseline["columnar"][0]
+            reference[0]
         metrics = MetricsRegistry()
         warm = _run(factory, as2org, metrics=metrics, **kwargs)
         assert _daily_bytes(warm, tmp_path / "warm.jsonl") == \
-            pickle_baseline["columnar"][0]
-        assert _counters(warm) == pickle_baseline["columnar"][1]
+            reference[0]
+        assert _counters(warm) == reference[1]
         # Warm days come off mapped result shards, not the kernel.
         days = (END - START).days
         assert metrics.counters().get("store.result_hits") == days
 
     def test_incremental_shm_seed_matches(
-        self, factory, as2org, pickle_baseline, tmp_path
+        self, factory, as2org, reference, tmp_path
     ):
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, jobs=2, incremental=True, fanin="shm",
-            metrics=metrics,
+            factory, as2org, jobs=2, incremental=True, metrics=metrics,
         )
         assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline["columnar"][0]
+            reference[0]
         # The seed crossed via a segment, so nothing materialized.
+        assert metrics.gauges().get("fanin.shm_kb", 0) > 0
         assert metrics.counters().get("pairtable.materialized", 0) == 0
 
-    def test_incremental_pickle_seed_materializes(
-        self, factory, as2org, pickle_baseline, tmp_path
+    def test_incremental_seed_falls_back_to_pickle(
+        self, factory, as2org, reference, tmp_path, no_segments
     ):
+        # Storeless, so the seed has no shard to be re-mapped from:
+        # without a segment it travels back as a pickled table.  A
+        # stream-built table is already array-backed, so materializing
+        # it is a no-op and the fallback shows only as zero shm bytes.
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, jobs=2, incremental=True, fanin="pickle",
-            metrics=metrics,
+            factory, as2org, jobs=2, incremental=True, metrics=metrics,
         )
         assert _daily_bytes(result, tmp_path / "inc.jsonl") == \
-            pickle_baseline["columnar"][0]
+            reference[0]
+        assert metrics.gauges().get("fanin.shm_kb") == 0
+        assert metrics.counters().get("pairtable.materialized", 0) == 0
 
 
 class TestTransportAccounting:
     def test_shm_run_reports_segment_bytes(self, factory, as2org):
         metrics = MetricsRegistry()
-        _run(factory, as2org, jobs=2, fanin="shm", metrics=metrics)
+        _run(factory, as2org, jobs=2, metrics=metrics)
         gauges = metrics.gauges()
         assert gauges.get("fanin.shm_kb", 0) > 0
         assert gauges.get("fanin.pickled_kb") == 0
         assert metrics.counters().get("pairtable.materialized", 0) == 0
 
-    def test_pickle_run_reports_pickled_bytes(self, factory, as2org):
+    def test_pickle_run_reports_pickled_bytes(
+        self, factory, as2org, reference, tmp_path, no_segments
+    ):
         metrics = MetricsRegistry()
-        _run(factory, as2org, jobs=2, fanin="pickle", metrics=metrics)
+        result = _run(factory, as2org, jobs=2, metrics=metrics)
+        assert _daily_bytes(result, tmp_path / "out.jsonl") == \
+            reference[0]
+        assert _counters(result) == reference[1]
         gauges = metrics.gauges()
         assert gauges.get("fanin.shm_kb") == 0
         assert gauges.get("fanin.pickled_kb", 0) > 0
 
 
 class TestValidation:
-    def test_unknown_fanin_mode(self, factory, as2org):
-        with pytest.raises(ReproError, match="fan-in mode"):
-            _run(factory, as2org, fanin="carrier-pigeon")
-
     def test_day_shards_must_be_positive(self, factory, as2org):
         with pytest.raises(ReproError, match="day_shards"):
             _run(factory, as2org, day_shards=0)
-
-    def test_day_shards_need_columnar(self, factory, as2org):
-        with pytest.raises(ReproError, match="columnar"):
-            _run(factory, as2org, day_shards=2, kernel="object")
 
     def test_day_shards_exclude_incremental(self, factory, as2org):
         with pytest.raises(ReproError, match="incremental"):
@@ -208,7 +244,7 @@ class _InterruptingStreamFactory:
 class TestSegmentLifecycle:
     def test_no_segments_after_completion(self, factory, as2org):
         before = _segments()
-        _run(factory, as2org, jobs=2, fanin="shm", day_shards=2)
+        _run(factory, as2org, jobs=2, day_shards=2)
         assert _segments() == before
 
     def test_no_segments_after_worker_crash(self, as2org):
@@ -217,7 +253,7 @@ class TestSegmentLifecycle:
             run_inference(
                 _DyingStreamFactory(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=2, fanin="shm",
+                jobs=2,
             )
         assert _segments() == before
 
@@ -227,7 +263,7 @@ class TestSegmentLifecycle:
             run_inference(
                 _InterruptingStreamFactory(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=2, fanin="shm",
+                jobs=2,
             )
         assert _segments() == before
 
@@ -249,7 +285,7 @@ class TestSegmentLifecycle:
                 WorldStreamFactory(scenario), start, end,
                 InferenceConfig.extended(),
                 as2org=World(scenario).as2org(),
-                jobs=2, fanin="shm", day_shards=2,
+                jobs=2, day_shards=2,
             )
         """)
         env = dict(os.environ)

@@ -13,18 +13,22 @@ import pytest
 from repro.bgp.collector import Collector, CollectorSystem
 from repro.bgp.message import Announcement
 from repro.bgp.propagation import PropagationModel
-from repro.bgp.stream import RouteStream
+from repro.bgp.stream import RouteStream, date_range
 from repro.bgp.topology import ASTopology
 from repro.delegation import (
+    DailyDelegations,
     DelegationInference,
     InferenceConfig,
+    InferenceResult,
     WorldStreamFactory,
     run_inference,
     write_daily_delegations,
 )
+from repro.delegation.runner import _cache_key, _decode_payload
 from repro.errors import ReproError
 from repro.netbase.prefix import IPv4Prefix
 from repro.simulation import World, small_scenario
+from repro.store import ShardStore
 
 D = datetime.date
 
@@ -117,8 +121,6 @@ class TestBogonDifferential:
         return RouteStream(system, source=lambda date: announcements)
 
     def test_unsanitized_day_parity(self, stream):
-        from repro.delegation import DailyDelegations, InferenceResult
-
         config = InferenceConfig.baseline()
         results = {}
         for kernel in ("columnar", "object"):
@@ -137,8 +139,6 @@ class TestBogonDifferential:
         assert columnar[1].sanitize_stats.bogon_prefix == 3
 
     def test_pre_sanitized_skips_bogon_filter(self, stream):
-        from repro.delegation import DailyDelegations, InferenceResult
-
         config = InferenceConfig.baseline()
         inference = DelegationInference(config)
         pairs = stream.pairs_on(D(2020, 1, 1))
@@ -153,44 +153,50 @@ class TestBogonDifferential:
 
 class TestRunnerDifferential:
     def test_parallel_runner_matches_across_kernels(
-        self, as2org, tmp_path
+        self, world, as2org, tmp_path
     ):
-        outputs = {}
-        for kernel in ("columnar", "object"):
-            result = run_inference(
-                WorldStreamFactory(SCENARIO), START, END,
-                InferenceConfig.extended(), as2org=as2org,
-                jobs=2, kernel=kernel,
-            )
-            outputs[kernel] = (
-                _daily_bytes(result, tmp_path / f"{kernel}.jsonl"),
-                _counters(result),
-            )
-        assert outputs["columnar"] == outputs["object"]
+        runner_result = run_inference(
+            WorldStreamFactory(SCENARIO), START, END,
+            InferenceConfig.extended(), as2org=as2org, jobs=2,
+        )
+        reference = DelegationInference(
+            InferenceConfig.extended(), as2org, kernel="object"
+        ).infer_range(world.stream(), START, END)
+        assert _daily_bytes(runner_result, tmp_path / "runner.jsonl") == \
+            _daily_bytes(reference, tmp_path / "object.jsonl")
+        assert _counters(runner_result) == _counters(reference)
 
-    def test_kernels_share_cache_entries(self, as2org, tmp_path):
-        # Byte-identical outputs mean the kernel must NOT participate
-        # in the cache key: a columnar run primes the object run.
-        cache = tmp_path / "cache"
+    def test_kernels_share_cache_entries(self, world, as2org, tmp_path):
+        # A result shard is keyed on config and input only, so the
+        # payload the columnar runner caches for a day must be exactly
+        # what the object kernel infers for it: same quads (before
+        # rule (v)), same per-day attrition counters.
+        config = InferenceConfig.extended()
         factory = WorldStreamFactory(SCENARIO)
         run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache, kernel="columnar",
+            factory, START, END, config, as2org=as2org, jobs=1,
+            store_dir=tmp_path / "store",
         )
-        warm = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache, kernel="object",
-        )
-        assert warm.runner_stats.days_from_cache == 15
-        assert warm.runner_stats.days_computed == 0
-
-    def test_bad_kernel_rejected(self, as2org):
-        with pytest.raises(ReproError, match="kernel"):
-            run_inference(
-                WorldStreamFactory(SCENARIO), START, END,
-                InferenceConfig.extended(), as2org=as2org,
-                jobs=1, kernel="vector",
+        store = ShardStore(tmp_path / "store", factory.fingerprint())
+        reference = DelegationInference(config, as2org, kernel="object")
+        stream = world.stream()
+        for date in date_range(START, END):
+            key = _cache_key(
+                config, date, factory.fingerprint(), as2org.fingerprint()
             )
+            payload = _decode_payload(store.result_path(key).read_bytes())
+            scratch = InferenceResult(DailyDelegations(), config)
+            delegations = reference.infer_day_from_pairs(
+                stream.pairs_on(date), stream.monitor_count(), date,
+                scratch,
+            )
+            assert payload["delegations"] == sorted(
+                (d.prefix.network, d.prefix.length,
+                 d.delegator_asn, d.delegatee_asn)
+                for d in delegations
+            )
+            assert tuple(payload["counters"].values()) == \
+                _counters(scratch)
 
 
 class TestJobsOneStaysInline:

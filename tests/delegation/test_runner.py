@@ -1,8 +1,9 @@
 """Tests for the parallel, cached inference runner.
 
 The contract under test: the runner's output is byte-identical to the
-sequential pipeline, the cache keys follow the configuration (hits
-when only step (v) changes, misses when steps (i)-(iv) change), and
+sequential pipeline, the result-shard keys follow the configuration
+(hits when only step (v) changes, misses when steps (i)-(iv), the
+as2org dataset or the input change), and
 worker failures surface as :class:`ReproError` instead of hanging.
 """
 
@@ -24,6 +25,7 @@ from repro.delegation import (
 )
 from repro.delegation.consistency import ConsistencyRule
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, small_scenario
 
 D = datetime.date
@@ -124,93 +126,119 @@ class TestEquivalence:
         assert stats.days_total == 15
         assert stats.days_computed == 15
         assert stats.days_from_cache == 0
-        assert stats.cache_dir is None
+        assert stats.store_dir is None
 
 
 class TestCache:
+    """Result-shard keys follow the configuration and the input."""
+
+    def _run(self, factory, config, store, as2org=None, metrics=None):
+        return run_inference(
+            factory, START, END, config, as2org=as2org, jobs=1,
+            store_dir=store, metrics=metrics or MetricsRegistry(),
+        )
+
     def test_cold_then_warm(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
-        cold = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+        store = tmp_path / "store"
+        cold = self._run(
+            factory, InferenceConfig.extended(), store, as2org
         )
         assert cold.runner_stats.days_computed == 15
         assert cold.runner_stats.days_from_cache == 0
-        warm = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+        metrics = MetricsRegistry()
+        warm = self._run(
+            factory, InferenceConfig.extended(), store, as2org, metrics
         )
         assert warm.runner_stats.days_computed == 0
         assert warm.runner_stats.days_from_cache == 15
         assert warm.runner_stats.cache_hit_rate == 1.0
+        assert metrics.counter("store.result_hits") == 15
         assert warm.daily.dates() == cold.daily.dates()
         for date in warm.daily.dates():
             assert warm.daily.on(date) == cold.daily.on(date)
 
     def test_config_change_misses(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
-        run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
-        )
-        changed = run_inference(
-            factory, START, END,
-            InferenceConfig(visibility_threshold=0.25),
-            as2org=as2org, jobs=1, cache_dir=cache,
+        store = tmp_path / "store"
+        self._run(factory, InferenceConfig.extended(), store, as2org)
+        metrics = MetricsRegistry()
+        changed = self._run(
+            factory, InferenceConfig(visibility_threshold=0.25), store,
+            as2org, metrics,
         )
         assert changed.runner_stats.days_from_cache == 0
         assert changed.runner_stats.days_computed == 15
+        assert metrics.counter("store.result_hits") == 0
+        # The input shards are config-free: every day still maps.
+        assert metrics.counter("store.hits") == 15
 
     def test_consistency_rule_change_still_hits(self, as2org, tmp_path):
         # Step (v) runs after the fan-in: sweeping (M, N) must reuse
         # every per-day entry.
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
-        run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
-        )
-        swept = run_inference(
-            factory, START, END,
+        store = tmp_path / "store"
+        self._run(factory, InferenceConfig.extended(), store, as2org)
+        metrics = MetricsRegistry()
+        swept = self._run(
+            factory,
             InferenceConfig(consistency_rule=ConsistencyRule(5, 1)),
-            as2org=as2org, jobs=1, cache_dir=cache,
+            store, as2org, metrics,
         )
         assert swept.runner_stats.days_from_cache == 15
+        assert metrics.counter("store.result_hits") == 15
+
+    def test_as2org_change_misses(self, world, tmp_path):
+        # Extension (iv) reads the as2org dataset, so its fingerprint
+        # is part of the key whenever the same-org filter is on.
+        factory = WorldStreamFactory(SCENARIO)
+        store = tmp_path / "store"
+        self._run(
+            factory, InferenceConfig.extended(), store, world.as2org()
+        )
+        other_as2org = World(
+            dataclasses.replace(SCENARIO, seed=7)
+        ).as2org()
+        assert other_as2org.fingerprint() != world.as2org().fingerprint()
+        metrics = MetricsRegistry()
+        other = self._run(
+            factory, InferenceConfig.extended(), store, other_as2org,
+            metrics,
+        )
+        assert other.runner_stats.days_from_cache == 0
+        assert metrics.counter("store.result_hits") == 0
 
     def test_input_change_misses(self, as2org, tmp_path):
-        cache = tmp_path / "cache"
-        run_inference(
-            WorldStreamFactory(SCENARIO), START, END,
-            InferenceConfig.extended(), as2org=as2org,
-            jobs=1, cache_dir=cache,
+        store = tmp_path / "store"
+        self._run(
+            WorldStreamFactory(SCENARIO), InferenceConfig.extended(),
+            store, as2org,
         )
         other_scenario = dataclasses.replace(SCENARIO, seed=7)
         other_world = World(other_scenario)
-        other = run_inference(
-            WorldStreamFactory(other_scenario), START, END,
-            InferenceConfig.extended(), as2org=other_world.as2org(),
-            jobs=1, cache_dir=cache,
+        metrics = MetricsRegistry()
+        other = self._run(
+            WorldStreamFactory(other_scenario), InferenceConfig.extended(),
+            store, other_world.as2org(), metrics,
         )
         assert other.runner_stats.days_from_cache == 0
+        assert metrics.counter("store.result_hits") == 0
+        assert metrics.counter("store.hits") == 0
 
     def test_corrupt_entry_recomputed(self, as2org, tmp_path):
         factory = WorldStreamFactory(SCENARIO)
-        cache = tmp_path / "cache"
-        first = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+        store = tmp_path / "store"
+        first = self._run(
+            factory, InferenceConfig.extended(), store, as2org
         )
-        entries = sorted(cache.rglob("*.bin"))
+        entries = sorted((store / "results").rglob("*.rpd"))
         assert len(entries) == 15
-        # Truncated body and a foreign (old-JSON-era) payload must
-        # both read as misses, never as wrong results.
+        # Truncated body and a foreign (JSON-era) payload must both
+        # read as misses, never as wrong results.
         entries[0].write_bytes(entries[0].read_bytes()[:-3])
         entries[1].write_text(json.dumps({"schema": 1}), encoding="utf-8")
-        healed = run_inference(
-            factory, START, END, InferenceConfig.extended(),
-            as2org=as2org, jobs=1, cache_dir=cache,
+        healed = self._run(
+            factory, InferenceConfig.extended(), store, as2org
         )
         assert healed.runner_stats.days_from_cache == 13
         assert healed.runner_stats.days_computed == 2
@@ -222,7 +250,7 @@ class TestCache:
             run_inference(
                 lambda: World(SCENARIO).stream(), START, END,
                 InferenceConfig.extended(), as2org=as2org,
-                jobs=1, cache_dir=tmp_path / "cache",
+                jobs=1, store_dir=tmp_path / "store",
             )
 
 
@@ -283,7 +311,7 @@ class TestArchiveFactory:
         result = run_inference(
             factory, START, START + datetime.timedelta(days=3),
             InferenceConfig.baseline(), jobs=1,
-            cache_dir=tmp_path / "cache",
+            store_dir=tmp_path / "store",
         )
         assert result.observation_dates == dates
         # Same days straight from the in-memory stream must agree.

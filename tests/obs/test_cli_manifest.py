@@ -93,10 +93,10 @@ class TestInferManifest:
         return load_manifest(path)
 
     def test_manifest_contents(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
+        store = tmp_path / "store"
         path = tmp_path / "m.json"
         argv = _INFER_ARGS + [
-            "--jobs", "1", "--cache-dir", str(cache),
+            "--jobs", "1", "--store", str(store),
             "--metrics-out", str(path),
         ]
         assert main(argv) == 0
@@ -129,16 +129,19 @@ class TestInferManifest:
             payload["cache"]["misses"]
         assert payload["extra"]["scale"] == "small"
 
-        # Warm re-run against the same cache flips the counters.
+        # Warm re-run against the same store flips the counters: every
+        # day is a mapped result shard.
         path2 = tmp_path / "m2.json"
         assert main(_INFER_ARGS + [
-            "--jobs", "1", "--cache-dir", str(cache),
+            "--jobs", "1", "--store", str(store),
             "--metrics-out", str(path2),
         ]) == 0
         capsys.readouterr()
         warm = load_manifest(path2)
         assert warm["cache"]["hits"] == payload["cache"]["misses"]
         assert warm["cache"]["misses"] == 0
+        assert warm["metrics"]["counters"]["store.result_hits"] == \
+            warm["cache"]["hits"]
 
     def test_attrition_identical_across_jobs(self, tmp_path, capsys):
         sequential = self._infer_manifest(tmp_path, "j1.json", 1, capsys)

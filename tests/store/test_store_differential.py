@@ -1,18 +1,21 @@
 """Differential tests: out-of-core store vs. the in-RAM paths.
 
 The shard store is a pure data-plane change — a sweep fed from
-memory-mapped shards must be byte-identical to one fed from live
-announcement records, for both kernels, sequential and through the
-mmap fan-out (workers opening the shard by path), and through the
-incremental delta path.  A warm store must serve every day as a hit
-without rebuilding the stream.
+memory-mapped shards must be byte-identical to the sequential
+object-kernel reference fed from live announcement records,
+sequentially and through the mmap fan-out (workers opening the shard
+by path), and through the incremental delta path.  A warm store must
+serve every day as a hit without rebuilding the stream, and a corrupt
+result shard must degrade to a counted miss and a recompute.
 """
 
 import datetime
+import shutil
 
 import pytest
 
 from repro.delegation import (
+    DelegationInference,
     InferenceConfig,
     WorldStreamFactory,
     run_inference,
@@ -20,6 +23,7 @@ from repro.delegation import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import World, small_scenario
+from repro.store import ShardStore
 
 SCENARIO = small_scenario()
 START = SCENARIO.bgp_start
@@ -60,33 +64,42 @@ def _counters(result):
 
 
 @pytest.fixture(scope="module")
-def baselines(factory, as2org, tmp_path_factory):
-    """Storeless reference outputs, one per kernel."""
-    base = tmp_path_factory.mktemp("baselines")
-    outputs = {}
-    for kernel in ("columnar", "object"):
-        result = _run(factory, as2org, kernel=kernel, jobs=1)
-        outputs[kernel] = (
-            _result_bytes(result, base / f"{kernel}.jsonl"),
-            _counters(result),
-        )
-    # The two kernels agree with each other before the store enters.
-    assert outputs["columnar"] == outputs["object"]
-    return outputs
+def reference(as2org, tmp_path_factory):
+    """Storeless sequential object-kernel output and counters."""
+    result = DelegationInference(
+        InferenceConfig.extended(), as2org, kernel="object"
+    ).infer_range(World(SCENARIO).stream(), START, END)
+    path = tmp_path_factory.mktemp("reference") / "object.jsonl"
+    return _result_bytes(result, path), _counters(result)
+
+
+class _StoreStream:
+    """Serves the object kernel its per-day pairs out of the store."""
+
+    def __init__(self, store, total_monitors):
+        self.store = store
+        self.total_monitors = total_monitors
+
+    def monitor_count(self):
+        return self.total_monitors
+
+    def pairs_on(self, date):
+        table, total_monitors = self.store.load(date)
+        assert total_monitors == self.total_monitors
+        return table.to_pairs()
 
 
 class TestStoreBackedEquivalence:
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_cold_store_matches_storeless(
-        self, factory, as2org, baselines, tmp_path, kernel, jobs
+        self, factory, as2org, reference, tmp_path, jobs
     ):
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, kernel=kernel, jobs=jobs,
+            factory, as2org, jobs=jobs,
             store_dir=tmp_path / "store", metrics=metrics,
         )
-        expected_bytes, expected_counters = baselines[kernel]
+        expected_bytes, expected_counters = reference
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
             expected_bytes
         assert _counters(result) == expected_counters
@@ -97,34 +110,35 @@ class TestStoreBackedEquivalence:
         assert counters.get("store.hits") is None
         assert counters.get("store.malformed") is None
 
-    @pytest.mark.parametrize("kernel", ["columnar", "object"])
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_warm_store_matches_and_hits_every_day(
-        self, factory, as2org, baselines, tmp_path, kernel, jobs
+        self, factory, as2org, reference, tmp_path, jobs
     ):
-        # fanin="pickle" disables the result-shard warm path, so this
-        # run must re-map every *input* shard (the path under test);
-        # the result-shard short-circuit has its own test below.
-        _run(
-            factory, as2org, jobs=1, store_dir=tmp_path / "store",
-            fanin="pickle",
+        # Warm only the input shards, under another config: its result
+        # shards live under other keys, so this run must re-map every
+        # *input* shard (the path under test); the result-shard
+        # short-circuit has its own test below.
+        run_inference(
+            factory, START, END, InferenceConfig.baseline(), jobs=1,
+            store_dir=tmp_path / "store",
         )
         metrics = MetricsRegistry()
         result = _run(
-            factory, as2org, kernel=kernel, jobs=jobs,
+            factory, as2org, jobs=jobs,
             store_dir=tmp_path / "store", metrics=metrics,
-            fanin="pickle",
         )
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines[kernel][0]
+            reference[0]
+        assert _counters(result) == reference[1]
         counters = metrics.counters()
         assert counters.get("store.hits") == DAYS
         assert counters.get("store.misses") is None
         assert counters.get("store.writes") is None
+        assert counters.get("store.result_misses") == DAYS
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_warm_result_shards_skip_the_kernel(
-        self, factory, as2org, baselines, tmp_path, jobs
+        self, factory, as2org, reference, tmp_path, jobs
     ):
         _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
         assert (tmp_path / "store" / "results").is_dir()
@@ -134,7 +148,8 @@ class TestStoreBackedEquivalence:
             store_dir=tmp_path / "store", metrics=metrics,
         )
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines["columnar"][0]
+            reference[0]
+        assert _counters(result) == reference[1]
         counters = metrics.counters()
         # Every day served straight from a mapped result shard: no
         # input-shard load, no kernel pass, nothing recomputed.
@@ -143,56 +158,95 @@ class TestStoreBackedEquivalence:
         assert counters.get("store.writes") is None
         assert counters.get("runner.cache.hits") == DAYS
 
+    def test_corrupt_result_shards_recomputed(
+        self, factory, as2org, reference, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        _run(factory, as2org, jobs=1, store_dir=store_dir)
+        shards = sorted((store_dir / "results").rglob("*.rpd"))
+        assert len(shards) == DAYS
+        # One torn tail, one foreign magic: both must read as misses,
+        # never as a wrong day.
+        shards[0].write_bytes(shards[0].read_bytes()[:-3])
+        data = shards[1].read_bytes()
+        shards[1].write_bytes(b"XXXX" + data[4:])
+        metrics = MetricsRegistry()
+        healed = _run(
+            factory, as2org, jobs=1, store_dir=store_dir, metrics=metrics,
+        )
+        counters = metrics.counters()
+        assert counters.get("store.malformed") == 2
+        assert counters.get("store.result_misses") == 2
+        assert counters.get("store.result_hits") == DAYS - 2
+        assert healed.runner_stats.days_computed == 2
+        assert healed.runner_stats.days_from_cache == DAYS - 2
+        assert _result_bytes(healed, tmp_path / "healed.jsonl") == \
+            reference[0]
+        assert _counters(healed) == reference[1]
+        # The recompute wrote both shards back whole.
+        assert counters.get("store.result_writes") == 2
+
     def test_store_is_shared_across_kernels_and_configs(
         self, factory, as2org, tmp_path
     ):
-        # Warm with the columnar extended run, then read every day
-        # back under the object kernel and the baseline config: the
-        # content address excludes both.
+        # Warm with the columnar extended run, then feed every stored
+        # day to the object kernel under the baseline config: the
+        # content address excludes both, and the shards keep every
+        # fact the object path reads.
         _run(factory, as2org, jobs=1, store_dir=tmp_path / "store")
         metrics = MetricsRegistry()
-        run_inference(
-            factory, START, END,
-            InferenceConfig.baseline(), as2org=as2org,
-            kernel="object", jobs=1,
-            store_dir=tmp_path / "store", metrics=metrics,
+        store = ShardStore(
+            tmp_path / "store", factory.fingerprint(), metrics=metrics
         )
+        live = World(SCENARIO).stream()
+        reference = DelegationInference(
+            InferenceConfig.baseline(), kernel="object"
+        )
+        from_store = reference.infer_range(
+            _StoreStream(store, live.monitor_count()), START, END
+        )
+        from_live = reference.infer_range(live, START, END)
+        assert _result_bytes(from_store, tmp_path / "store.jsonl") == \
+            _result_bytes(from_live, tmp_path / "live.jsonl")
+        assert _counters(from_store) == _counters(from_live)
         assert metrics.counters().get("store.hits") == DAYS
 
 
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2], ids=["seq", "pool"])
     def test_incremental_store_backed_matches(
-        self, factory, as2org, baselines, tmp_path, jobs
+        self, factory, as2org, reference, tmp_path, jobs
     ):
         cold = _run(
             factory, as2org, jobs=jobs, incremental=True,
             store_dir=tmp_path / "store",
         )
         assert _result_bytes(cold, tmp_path / "cold.jsonl") == \
-            baselines["columnar"][0]
+            reference[0]
         warm = _run(
             factory, as2org, jobs=jobs, incremental=True,
             store_dir=tmp_path / "store",
         )
         assert _result_bytes(warm, tmp_path / "warm.jsonl") == \
-            baselines["columnar"][0]
+            reference[0]
 
     def test_store_composes_with_the_result_cache(
-        self, factory, as2org, baselines, tmp_path
+        self, factory, as2org, reference, tmp_path
     ):
-        # Both layers on: first run fills both, second run is served
-        # entirely by the result cache (which sits in front).
-        kwargs = dict(
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-            store_dir=tmp_path / "store",
-        )
-        _run(factory, as2org, **kwargs)
+        # Input shards feed computes, result shards skip them: with the
+        # results namespace gone, a warm store recomputes every day off
+        # mapped input shards and writes the results back.
+        store_dir = tmp_path / "store"
+        _run(factory, as2org, jobs=1, store_dir=store_dir)
+        shutil.rmtree(store_dir / "results")
         metrics = MetricsRegistry()
-        result = _run(factory, as2org, metrics=metrics, **kwargs)
+        result = _run(
+            factory, as2org, jobs=1, store_dir=store_dir, metrics=metrics,
+        )
         assert _result_bytes(result, tmp_path / "out.jsonl") == \
-            baselines["columnar"][0]
+            reference[0]
         counters = metrics.counters()
-        assert counters.get("runner.cache.hits") == DAYS
+        assert counters.get("runner.cache.misses") == DAYS
+        assert counters.get("store.hits") == DAYS
         assert counters.get("store.misses") is None
+        assert counters.get("store.result_writes") == DAYS

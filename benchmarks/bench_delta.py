@@ -13,11 +13,13 @@ window:
   day; no stream, no classification, no cover pass).
 
 All four must be byte-identical; the acceptance bar is
-``incremental_warm`` strictly beating ``store_warm``.  Timings land
-in ``BENCH_delta.json``.
+``incremental_warm``'s median strictly beating ``store_warm``'s.
+Every arm is timed ``REPEATS`` times (the cold arms on a fresh store
+or journal each time); medians with their min/max land in
+``BENCH_delta.json``.
 """
 
-import time
+import itertools
 
 from repro.delegation import (
     InferenceConfig,
@@ -44,7 +46,11 @@ def _daily_bytes(result, path):
     return path.read_bytes()
 
 
-def test_bench_delta_sweep(record_bench_json, tmp_path):
+#: Samples per arm; every arm takes milliseconds on the small world.
+REPEATS = 5
+
+
+def test_bench_delta_sweep(record_bench_json, measure, tmp_path):
     scenario = small_scenario()
     world = World(scenario)
     as2org = world.as2org()
@@ -53,29 +59,36 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
     assert days >= 30, "acceptance requires a >=30-day sweep"
     factory = WorldStreamFactory(scenario)
     config = InferenceConfig.extended()
+    fresh = itertools.count()
     timings = {}
 
-    def run(label, **kwargs):
-        t0 = time.perf_counter()
-        result = run_inference(
+    def run(**kwargs):
+        return run_inference(
             factory, start, end, config, as2org=as2org, jobs=1,
             **kwargs,
         )
-        timings[label] = time.perf_counter() - t0
+
+    def timed(label, fn):
+        result, timings[label] = measure(fn, REPEATS)
         return result
+
+    def fresh_dir(name):
+        return tmp_path / f"{name}{next(fresh)}"
 
     store_dir = tmp_path / "store"
     journal_dir = tmp_path / "journal"
 
-    full_cold = run("full_cold")
-    run("store_cold", store_dir=store_dir)
-    store_warm = run("store_warm", store_dir=store_dir)
-    incremental_cold = run(
-        "incremental_cold", incremental=True, journal_dir=journal_dir
-    )
-    incremental_warm = run(
-        "incremental_warm", incremental=True, journal_dir=journal_dir
-    )
+    full_cold = timed("full_cold", run)
+    timed("store_cold", lambda: run(store_dir=fresh_dir("store")))
+    run(store_dir=store_dir)
+    store_warm = timed("store_warm", lambda: run(store_dir=store_dir))
+    incremental_cold = timed("incremental_cold", lambda: run(
+        incremental=True, journal_dir=fresh_dir("journal")
+    ))
+    run(incremental=True, journal_dir=journal_dir)
+    incremental_warm = timed("incremental_warm", lambda: run(
+        incremental=True, journal_dir=journal_dir
+    ))
 
     # Byte-identity across every path, counters in exact agreement.
     reference = _daily_bytes(full_cold, tmp_path / "full.jsonl")
@@ -92,12 +105,15 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
     assert incremental_warm.runner_stats.days_computed == 0
     assert incremental_warm.runner_stats.days_replayed == days
 
+    def median(label):
+        return timings[label]["median"]
+
     # The acceptance bar: a warm journal replay beats the warm result
     # shards (it skips per-day file opens, key hashing and payload
     # decode in favour of one sequential journal read).
-    assert timings["incremental_warm"] < timings["store_warm"], (
-        f"warm replay {timings['incremental_warm']:.4f}s not faster "
-        f"than warm result shards {timings['store_warm']:.4f}s"
+    assert median("incremental_warm") < median("store_warm"), (
+        f"warm replay median {median('incremental_warm'):.4f}s not "
+        f"faster than warm result shards {median('store_warm'):.4f}s"
     )
 
     record_bench_json("delta", {
@@ -111,20 +127,23 @@ def test_bench_delta_sweep(record_bench_json, tmp_path):
                 incremental_warm.runner_stats.days_replayed,
             "days_fastpathed_cold":
                 incremental_cold.runner_stats.days_fastpathed,
-            "journal": incremental_warm.runner_stats.journal,
         },
         "timings_seconds": {
-            key: round(value, 4) for key, value in timings.items()
+            label: {
+                key: value if key == "n" else round(value, 5)
+                for key, value in timing.items()
+            }
+            for label, timing in timings.items()
         },
         "speedups": {
             "incremental_warm_vs_store_warm": round(
-                timings["store_warm"] / timings["incremental_warm"], 2
+                median("store_warm") / median("incremental_warm"), 2
             ),
             "incremental_warm_vs_full_cold": round(
-                timings["full_cold"] / timings["incremental_warm"], 2
+                median("full_cold") / median("incremental_warm"), 2
             ),
             "incremental_cold_vs_full_cold": round(
-                timings["full_cold"] / timings["incremental_cold"], 2
+                median("full_cold") / median("incremental_cold"), 2
             ),
         },
     })

@@ -10,12 +10,45 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
+import time
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
 from repro.simulation import World, paper_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def _measure(
+    fn: Callable[[], Any], repeats: int = 5
+) -> Tuple[Any, Dict[str, float]]:
+    """Call ``fn`` ``repeats`` (>= 3) times back to back.
+
+    Returns the last call's result and the wall-clock spread in
+    seconds: ``{"median", "min", "max", "n"}``.  Timing gates compare
+    medians, so one slow or lucky sample does not decide them.
+    """
+    if repeats < 3:
+        raise ValueError("a timing needs at least 3 samples")
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        samples.append(time.perf_counter() - t0)
+    return result, {
+        "median": statistics.median(samples),
+        "min": min(samples),
+        "max": max(samples),
+        "n": repeats,
+    }
+
+
+@pytest.fixture(scope="session")
+def measure():
+    """The repeated-sample timer, ``measure(fn, repeats)``."""
+    return _measure
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,11 @@ observable day by day.  Expected shape (paper):
 from __future__ import annotations
 
 import datetime
-import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.delegation.consistency import ConsistencyRule, evaluate_rule
-from repro.delegation.forkpool import close_pool, fork_pool
-from repro.errors import ReproError
 from repro.rpki.database import RoaDatabase
 
 
@@ -52,12 +50,12 @@ def _evaluate_daily_fast(
     span_values: Sequence[int],
     missing_values: Sequence[int],
 ) -> List[RuleEvaluation]:
-    """O(1)-per-premise sweep on a contiguous daily grid.
+    """Counting sweep on a contiguous daily grid.
 
     Presence prefix sums turn "how many absences between X and X+M"
-    into a subtraction, so the whole (M, N) family is evaluated in one
-    pass per M — this is what makes the Fig. 5 sweep (tens of rules on
-    hundreds of multi-year timelines) run in seconds.
+    into a subtraction.  Per timeline and M, the premises' absence
+    counts are sorted once; the violations of every N are then the
+    counts above N, one bisection each.
     """
     index = {date: i for i, date in enumerate(dates)}
     n = len(dates)
@@ -78,15 +76,15 @@ def _evaluate_daily_fast(
             prefix[i + 1] = running
         present_indices = [i for i in range(n) if present[i]]
         for span in spans:
-            for i in present_indices:
-                j = i + span
-                if j >= n or not present[j]:
-                    continue
-                absent = (span - 1) - (prefix[j] - prefix[i + 1])
-                for k in missing_sorted:
-                    premises[(span, k)] += 1
-                    if absent > k:
-                        violations[(span, k)] += 1
+            absent = sorted(
+                (span - 1) - (prefix[i + span] - prefix[i + 1])
+                for i in present_indices
+                if i + span < n and present[i + span]
+            )
+            count = len(absent)
+            for k in missing_sorted:
+                premises[(span, k)] += count
+                violations[(span, k)] += count - bisect_right(absent, k)
     return [
         RuleEvaluation(
             max_span_days=span,
@@ -99,13 +97,25 @@ def _evaluate_daily_fast(
     ]
 
 
-def _evaluate_span_subset(
-    timelines: Dict[tuple, Sequence[datetime.date]],
-    observation_dates: Sequence[datetime.date],
+def evaluate_rules_on_rpki(
+    database: RoaDatabase,
     span_values: Sequence[int],
-    missing_values: Sequence[int],
+    missing_values: Sequence[int] = (0, 1, 2, 3),
+    *,
+    jobs: Optional[int] = None,
 ) -> List[RuleEvaluation]:
-    """Evaluate a subset of M values (the parallel unit of work)."""
+    """Evaluate every (M, N) combination on the database's delegations.
+
+    Returns one :class:`RuleEvaluation` per combination, ordered by
+    (M, N) — the Fig. 5 data: fail rate on the y-axis against M on the
+    x-axis, one curve per N.  Daily snapshot grids take the counting
+    fast path; sparse grids fall back to the generic evaluator.
+
+    ``jobs`` is accepted and ignored: the sweep runs in one process,
+    which on the paper world is no slower than a two-worker pool.
+    """
+    timelines = database.delegation_timeline()
+    observation_dates = database.dates()
     if _is_daily_grid(observation_dates):
         return _evaluate_daily_fast(
             timelines, observation_dates, span_values, missing_values
@@ -125,65 +135,6 @@ def _evaluate_span_subset(
                     violations=violations,
                 )
             )
-    return evaluations
-
-
-def evaluate_rules_on_rpki(
-    database: RoaDatabase,
-    span_values: Sequence[int],
-    missing_values: Sequence[int] = (0, 1, 2, 3),
-    *,
-    jobs: Optional[int] = None,
-) -> List[RuleEvaluation]:
-    """Evaluate every (M, N) combination on the database's delegations.
-
-    Returns one :class:`RuleEvaluation` per combination, ordered by
-    (M, N) — the Fig. 5 data: fail rate on the y-axis against M on the
-    x-axis, one curve per N.  Daily snapshot grids take a prefix-sum
-    fast path; sparse grids fall back to the generic evaluator.
-
-    ``jobs`` fans the M sweep out over worker processes (the timelines
-    are extracted once in the parent and shipped to each worker once);
-    ``jobs=None`` or ``1`` evaluates in-process, and ``jobs=0`` means
-    "use every core" (``os.cpu_count()``).  Results are ordered
-    identically either way.
-    """
-    timelines = database.delegation_timeline()
-    observation_dates = database.dates()
-    spans = sorted(span_values)
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    resolved_jobs = min(jobs or 1, len(spans))
-    if resolved_jobs <= 1:
-        return _evaluate_span_subset(
-            timelines, observation_dates, spans, missing_values
-        )
-    # Round-robin sharding balances the load: the cost of one M value
-    # scales with its premise count, which shrinks as M grows.
-    shards = [spans[i::resolved_jobs] for i in range(resolved_jobs)]
-    evaluations: List[RuleEvaluation] = []
-    executor = fork_pool(max_workers=resolved_jobs)
-    try:
-        futures = [
-            executor.submit(
-                _evaluate_span_subset,
-                timelines, observation_dates, shard, missing_values,
-            )
-            for shard in shards
-        ]
-        for future in futures:
-            try:
-                evaluations.extend(future.result())
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise ReproError(
-                    "rule-evaluation worker failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-    finally:
-        close_pool(executor)
-    evaluations.sort(key=lambda e: (e.max_span_days, e.allowed_missing))
     return evaluations
 
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 import datetime
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from repro.errors import RpkiError
-from repro.netbase.prefix import IPv4Prefix
-from repro.netbase.trie import PrefixTrie
+from repro.netbase.prefix import ADDRESS_BITS, IPv4Prefix
 from repro.rpki.roa import Roa
 
 
@@ -24,6 +23,34 @@ class RpkiDelegation:
 
     def key(self) -> tuple:
         return (self.prefix, self.delegator_asn, self.delegatee_asn)
+
+
+def _delegation_keys(roas: FrozenSet[Roa]) -> List[tuple]:
+    """Sorted ``(prefix, delegator, delegatee)`` keys of one ROA set.
+
+    ROA ASNs are indexed by ``(network, length)``; a ROA's most
+    specific strict cover is the first hit when its network is masked
+    to ``length - 1``, ``length - 2``, ... ``0``.
+    """
+    asns_at: Dict[Tuple[int, int], List[int]] = {}
+    for roa in roas:
+        asns_at.setdefault(
+            (roa.prefix.network, roa.prefix.length), []
+        ).append(roa.asn)
+    keys = set()
+    for roa in roas:
+        network = roa.prefix.network
+        for length in range(roa.prefix.length - 1, -1, -1):
+            shift = ADDRESS_BITS - length
+            delegators = asns_at.get((network >> shift << shift, length))
+            if delegators is not None:
+                keys.update(
+                    (roa.prefix, delegator, roa.asn)
+                    for delegator in delegators
+                    if delegator != roa.asn
+                )
+                break
+    return sorted(keys)
 
 
 class RoaDatabase:
@@ -66,37 +93,10 @@ class RoaDatabase:
         AS.  Same-AS pairs are ROA maxLength engineering, not
         delegations.
         """
-        roas = self.snapshot(date)
-        index: PrefixTrie[List[int]] = PrefixTrie()
-        for roa in roas:
-            bucket = index.get(roa.prefix)
-            if bucket is None:
-                bucket = []
-                index.insert(roa.prefix, bucket)
-            bucket.append(roa.asn)
-        delegations: List[RpkiDelegation] = []
-        seen = set()
-        for roa in roas:
-            best_asns: Optional[List[int]] = None
-            for covering_prefix, asns in index.covering(roa.prefix):
-                if covering_prefix.length < roa.prefix.length:
-                    best_asns = asns  # most specific strict cover wins
-            if best_asns is None:
-                continue
-            for delegator in best_asns:
-                if delegator == roa.asn:
-                    continue
-                delegation = RpkiDelegation(
-                    prefix=roa.prefix,
-                    delegator_asn=delegator,
-                    delegatee_asn=roa.asn,
-                )
-                if delegation.key() in seen:
-                    continue
-                seen.add(delegation.key())
-                delegations.append(delegation)
-        delegations.sort(key=lambda d: d.key())
-        return delegations
+        return [
+            RpkiDelegation(*key)
+            for key in _delegation_keys(self.snapshot(date))
+        ]
 
     def delegation_timeline(
         self,
@@ -104,12 +104,19 @@ class RoaDatabase:
         """Map each delegation key to the snapshot dates it appears on.
 
         This is the input of the appendix's consistency-rule fail-rate
-        evaluation (Fig. 5).
+        evaluation (Fig. 5).  Delegations are a pure function of a
+        snapshot's ROA set and daily snapshots mostly repeat the day
+        before, so each distinct set is resolved once.
         """
         timeline: Dict[tuple, List[datetime.date]] = {}
+        resolved: Dict[FrozenSet[Roa], List[tuple]] = {}
         for date in self.dates():
-            for delegation in self.delegations_on(date):
-                timeline.setdefault(delegation.key(), []).append(date)
+            roas = self._snapshots[date]
+            keys = resolved.get(roas)
+            if keys is None:
+                keys = resolved[roas] = _delegation_keys(roas)
+            for key in keys:
+                timeline.setdefault(key, []).append(date)
         return timeline
 
     # -- file I/O -------------------------------------------------------------

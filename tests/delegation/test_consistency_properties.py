@@ -2,7 +2,7 @@
 
 import datetime
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.delegation.consistency import ConsistencyRule, evaluate_rule, fill_gaps
@@ -106,19 +106,45 @@ class TestEvaluateProperties:
                 assert violations <= previous
             previous = violations
 
-    @settings(max_examples=60)
-    @given(day_subsets)
-    def test_fast_path_matches_generic(self, indices):
-        """The daily-grid fast path equals the generic evaluator."""
+    @settings(max_examples=100)
+    @example(
+        subsets=[set(range(len(GRID))) - {5, 6, 18, 30}, {0, 3, 9, 12}],
+        spans={3, 10, 15},
+        missing={0, 1, 2},
+    )
+    @given(
+        st.lists(day_subsets, min_size=1, max_size=4),
+        st.sets(st.integers(min_value=1, max_value=15),
+                min_size=1, max_size=5),
+        st.sets(st.integers(min_value=0, max_value=6), min_size=1,
+                max_size=4),
+    )
+    def test_fast_path_matches_generic(self, subsets, spans, missing):
+        """The daily-grid fast path equals the generic evaluator for
+        every (M, N) of one call, M at or past the grid's end included."""
         from repro.delegation.rpki_eval import _evaluate_daily_fast
 
-        timeline = {KEY: sorted(GRID[i] for i in indices)}
-        for span in (3, 7, 12):
-            for missing in (0, 2):
-                expected = evaluate_rule(
-                    timeline, ConsistencyRule(span, missing), GRID
-                )
-                [fast] = _evaluate_daily_fast(
-                    timeline, GRID, [span], [missing]
-                )
-                assert (fast.premises, fast.violations) == expected
+        spans = sorted(spans | {len(GRID)})
+        timelines = {
+            (KEY[0], KEY[1], 200 + n): sorted(GRID[i] for i in indices)
+            for n, indices in enumerate(subsets)
+        }
+        fast = _evaluate_daily_fast(timelines, GRID, spans, sorted(missing))
+        assert [(e.max_span_days, e.allowed_missing) for e in fast] == [
+            (span, k) for span in spans for k in sorted(missing)
+        ]
+        for evaluation in fast:
+            expected = evaluate_rule(
+                timelines,
+                ConsistencyRule(
+                    evaluation.max_span_days, evaluation.allowed_missing
+                ),
+                GRID,
+            )
+            assert (evaluation.premises, evaluation.violations) == expected
+        if any(e.premises for e in fast):
+            event("premises > 0")
+        if any(e.violations for e in fast):
+            event("violations > 0")
+        if any(0 < e.violations < e.premises for e in fast):
+            event("0 < violations < premises")
